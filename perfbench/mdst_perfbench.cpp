@@ -148,7 +148,7 @@ std::string large_n_body(bool mini) {
 const Workload kWorkloads[] = {
     {"converge", 2, 1.2, converge_body},
     {"sweep", 2, 1.3, sweep_body},
-    {"adversity", 4, 3.8, adversity_body},
+    {"adversity", 4, 2.7, adversity_body},
     {"large_n", 2, 2.7, large_n_body},
     {"adversity_full", 2, 16.0, adversity_full_body},
 };
