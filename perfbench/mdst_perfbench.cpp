@@ -107,8 +107,8 @@ std::string adversity_body(bool mini) {
   // fault-free cells included (the recovery layer's false re-elections).
   // n = 96 and unit delays keep the grid's cost steady across seeds: at
   // n = 64 cheap and expensive cells split the trial-time distribution in
-  // two, and at n = 128 with uniform(1,4) delays (adversity_full) churn
-  // cells hit the message cap.
+  // two, and at n = 128 with uniform(1,4) delays churn cells hit the
+  // message cap (README.md has that grid).
   if (mini) {
     return "families = gnp_sparse\nsizes = 32\ndelays = unit\n"
            "startups = flood_st\nmodes = single\n"
@@ -119,17 +119,6 @@ std::string adversity_body(bool mini) {
          "startups = flood_st\nmodes = single\n"
          "faults = none, loss(0.05), churn(6,2), crash(8,1), corrupt(8,2)\n"
          "recovery = on\narq_backoff = exp\nmax_rounds = 400\nreps = 6\n";
-}
-
-std::string adversity_full_body(bool mini) {
-  // Not a gated workload: the n = {64, 128} x {unit, uniform(1,4)} grid,
-  // whose churn/uniform(1,4)/n=128 trials can hit the 50M message cap.
-  // Kept runnable so that defect can be re-measured with one command.
-  if (mini) return adversity_body(true);
-  return "families = gnp_sparse\nsizes = 64, 128\n"
-         "delays = unit, uniform(1,4)\nstartups = flood_st\nmodes = single\n"
-         "faults = none, loss(0.05), churn(6,2), crash(8,1), corrupt(8,2)\n"
-         "recovery = on\narq_backoff = exp\nmax_rounds = 400\nreps = 2\n";
 }
 
 std::string large_n_body(bool mini) {
@@ -150,7 +139,6 @@ const Workload kWorkloads[] = {
     {"sweep", 2, 1.3, sweep_body},
     {"adversity", 4, 2.7, adversity_body},
     {"large_n", 2, 2.7, large_n_body},
-    {"adversity_full", 2, 16.0, adversity_full_body},
 };
 
 // --------------------------------------------------------------- spans ---
@@ -490,6 +478,7 @@ std::string check_trial(const campaign::CampaignSpec& spec,
 struct PassResult {
   std::vector<TrialRecord> trials;
   std::uint64_t wall_ns = 0;
+  std::uint64_t setup_ns = 0;  // pass start until its first client runs
   std::uint64_t spec_ns = 0;   // parse_spec + expand
   std::uint64_t sink_ns = 0;   // sink open/begin/add/finish
   std::uint64_t sink_bytes = 0;
@@ -554,28 +543,6 @@ void open_campaign(OpenCampaign& c, const std::string& spec_text,
   pass.sink_ns += s.close();
 }
 
-// Set-up time of one campaign: from its start until the first of its
-// clients is running and ready to dispatch a trial. A pass does exactly
-// this before its first dispatch; measured apart from the passes so a run
-// can take the median of many samples.
-double setup_seconds(const std::string& spec_text, unsigned clients) {
-  const std::uint64_t t0 = now_ns();
-  OpenCampaign c;
-  PassResult unused;
-  open_campaign(c, spec_text, nullptr, 0, unused);
-  std::atomic<std::uint64_t> first{0};
-  {
-    std::vector<std::jthread> pool;
-    for (unsigned k = 0; k < clients; ++k) {
-      pool.emplace_back([&first] {
-        std::uint64_t none = 0;
-        first.compare_exchange_strong(none, now_ns());
-      });
-    }
-  }
-  return static_cast<double>(first.load() - t0) / 1e9;
-}
-
 // One pass of the workload grid. `log` non-null selects the traced replay.
 PassResult run_pass(const std::string& spec_text, const std::string& out_dir,
                     unsigned clients, SpanLog* log) {
@@ -594,12 +561,15 @@ PassResult run_pass(const std::string& spec_text, const std::string& out_dir,
   pass.trials.resize(trials.size());
   std::vector<char> ready(trials.size(), 0);
   std::atomic<std::size_t> next{0};
+  std::atomic<std::uint64_t> first_running{0};
   std::mutex mutex;
   std::condition_variable slot_ready;
 
   // Closed loop: each client claims its next trial only after finishing
   // the previous one. run_*_trial never throws (failures are recorded).
   const auto client = [&] {
+    std::uint64_t none = 0;
+    first_running.compare_exchange_strong(none, now_ns());
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= trials.size()) return;
@@ -633,6 +603,7 @@ PassResult run_pass(const std::string& spec_text, const std::string& out_dir,
     pass.sink_ns += s.close();
   }
   pool.clear();
+  pass.setup_ns = first_running.load() - t0;
   {
     Span s(log, "campaign.sink_finish", root, -1);
     c.csv->finish();
@@ -721,13 +692,13 @@ double ratio(double a, double b) { return b > 0 ? a / b : 0.0; }
 
 // Every pass of a run samples different instances, so the metrics pool
 // all passes: ratios are taken over run totals, percentiles over all trials.
-void end_to_end(const std::vector<PassResult>& passes,
-                const std::vector<double>& setup, Report& report) {
+void end_to_end(const std::vector<PassResult>& passes, Report& report) {
   double trials = 0, failed = 0, completed = 0, wall_ns = 0;
   double messages = 0, causal = 0, rounds = 0, k_final = 0, gap = 0;
-  std::vector<double> trial_ms;
+  std::vector<double> setup_s, trial_ms;
   for (const PassResult& pass : passes) {
     wall_ns += static_cast<double>(pass.wall_ns);
+    setup_s.push_back(static_cast<double>(pass.setup_ns) / 1e9);
     for (const TrialRecord& rec : pass.trials) {
       trials += 1;
       trial_ms.push_back(ms(rec.wall_ns()));
@@ -745,7 +716,7 @@ void end_to_end(const std::vector<PassResult>& passes,
   const double wall_s = wall_ns / 1e9;
   const double c = std::max(1.0, completed);
   report.add("wall_s", wall_s / static_cast<double>(passes.size()), "s");
-  report.add("setup_s", median(setup), "s");
+  report.add("setup_s", median(setup_s), "s");
   report.add("trials_per_s", trials / wall_s, "1/s");
   report.add("trial_ms_p50", median(trial_ms), "ms");
   report.add("trial_ms_tail", tail(trial_ms), "ms");
@@ -884,7 +855,7 @@ struct Args {
 [[noreturn]] void usage(const std::string& why) {
   std::cerr << "mdst_perfbench: " << why << "\n"
             << "usage: mdst_perfbench --workload converge|sweep|adversity|"
-               "large_n|adversity_full [--seed N] [--seconds S] [--trace 0|1] "
+               "large_n [--seed N] [--seconds S] [--trace 0|1] "
                "[--clients C] [--mini] [--max-messages N] [--out DIR]\n";
   std::exit(2);
 }
@@ -956,10 +927,6 @@ int main(int argc, char** argv) {
   if (args.trace) passes = std::max<std::size_t>(1, passes / 2);
   std::uint64_t seed_stream = args.seed;
 
-  // setup_s is the median of at least 25 set-ups, taken before each pass
-  // so that the samples span the run, not one moment of the host's state.
-  const std::size_t setups_per_pass = (25 + passes - 1) / passes;
-  std::vector<double> setup;
   SpanLog spans;
   std::vector<PassResult> plain, traced;
   std::uint64_t digest = 0xcbf29ce484222325ull;
@@ -974,9 +941,6 @@ int main(int argc, char** argv) {
       spec_text += "max_messages = " + std::to_string(args.max_messages) + "\n";
     }
     std::ofstream(out_dir + "/workload.campaign", std::ios::trunc) << spec_text;
-    for (std::size_t i = 0; !args.trace && i < setups_per_pass; ++i) {
-      setup.push_back(setup_seconds(spec_text, clients));
-    }
     plain.push_back(run_pass(spec_text, out_dir, clients, nullptr));
     if (args.trace) {
       traced.push_back(run_pass(spec_text, out_dir, clients, &spans));
@@ -1008,6 +972,13 @@ int main(int argc, char** argv) {
     }
   }
   for (std::size_t p = 0; p < traced.size(); ++p) {
+    for (const TrialRecord& rec : traced[p].trials) {
+      if (rec.status == Status::kCheckFailed) {
+        failures.push_back("traced replay of trial " +
+                           std::to_string(rec.outcome.trial.index) + ": " +
+                           rec.error);
+      }
+    }
     if (traced[p].digest != plain[p].digest) {
       failures.push_back("traced replay of pass " + std::to_string(p) +
                          " differs from the untraced pass (row digest)");
@@ -1021,6 +992,10 @@ int main(int argc, char** argv) {
   for (const PassResult& pass : plain) {
     std::cout << " " << static_cast<double>(pass.wall_ns) / 1e9;
   }
+  std::cout << "\n# pass setup_us";
+  for (const PassResult& pass : plain) {
+    std::cout << " " << static_cast<double>(pass.setup_ns) / 1e3;
+  }
   std::cout << "\n# outcomes";
   for (const auto& [status, count] : by_status) {
     std::cout << " " << status << "=" << count;
@@ -1033,7 +1008,7 @@ int main(int argc, char** argv) {
 
   Report report;
   if (!args.trace) {
-    end_to_end(plain, setup, report);
+    end_to_end(plain, report);
   } else {
     layer_metrics(traced, report);
     double plain_ns = 0, traced_ns = 0;
